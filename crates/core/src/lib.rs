@@ -50,6 +50,7 @@
 pub mod constraint;
 pub mod error;
 pub mod history;
+mod json;
 pub mod meta;
 pub mod objective;
 pub mod offline;

@@ -40,7 +40,8 @@ use super::poll::{
     Waker,
 };
 use super::protocol::{
-    CompletionSink, Envelope, FrameDecoder, Reply, ReplySink, Request, MAX_FRAME_LEN,
+    decode_request, encode_reply, CompletionSink, Envelope, FrameDecoder, Reply, ReplySink,
+    Request, MAX_FRAME_LEN,
 };
 use super::ServerBus;
 use crate::telemetry::{Counter, Latency, Telemetry};
@@ -548,7 +549,7 @@ impl LoopWorker {
             if frame.trim().is_empty() {
                 continue;
             }
-            match serde_json::from_str::<Request>(&frame) {
+            match decode_request(&frame) {
                 Ok(Request::Shutdown) => {
                     // Connection-level goodbye; never forwarded (a remote
                     // client must not be able to kill the shared server).
@@ -627,8 +628,7 @@ impl LoopWorker {
 
 /// Serialize one reply frame onto a connection's write buffer.
 fn queue_reply(out: &mut Vec<u8>, reply: &Reply) {
-    let blob = serde_json::to_string(reply).expect("replies serialize");
-    out.extend_from_slice(blob.as_bytes());
+    encode_reply(reply, out);
     out.push(b'\n');
 }
 

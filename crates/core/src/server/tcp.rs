@@ -37,7 +37,10 @@
 
 use super::client::reply_error;
 use super::event_loop::{EventLoopConfig, EventLoopPool};
-use super::protocol::{FetchedTrial, Reply, Request, StrategyKind, TrialReport};
+use super::protocol::{
+    decode_reply, decode_request, encode_reply, encode_request, FetchedTrial, Reply, Request,
+    StrategyKind, TrialReport, MAX_FRAME_LEN,
+};
 use super::{HarmonyServer, ServerBus};
 use crate::error::{HarmonyError, Result};
 use crate::history::History;
@@ -46,7 +49,7 @@ use crate::retry::RetryPolicy;
 use crate::session::SessionOptions;
 use crate::space::Configuration;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -305,6 +308,7 @@ fn refuse_connection(stream: TcpStream, limit: usize, telemetry: &Telemetry) {
     let mut writer = BufWriter::new(stream);
     let _ = send_reply(
         &mut writer,
+        &mut Vec::new(),
         &Reply::busy(format!("server at connection capacity ({limit})")),
     );
 }
@@ -321,6 +325,7 @@ fn serve_connection(stream: TcpStream, bus: ServerBus, telemetry: &Telemetry) {
         Err(_) => return,
     };
     let mut writer = BufWriter::new(writer_stream);
+    let mut frame = Vec::new();
     let reader = BufReader::new(stream);
     let mut client_id: u64 = 0;
     let mut departed = false;
@@ -329,11 +334,11 @@ fn serve_connection(stream: TcpStream, bus: ServerBus, telemetry: &Telemetry) {
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match serde_json::from_str::<Request>(&line) {
+        let reply = match decode_request(&line) {
             Ok(Request::Shutdown) => {
                 // Connection-level goodbye; never forwarded (a remote client
                 // must not be able to kill the shared server).
-                let _ = send_reply(&mut writer, &Reply::Ok);
+                let _ = send_reply(&mut writer, &mut frame, &Reply::Ok);
                 break;
             }
             Ok(req) => {
@@ -361,7 +366,7 @@ fn serve_connection(stream: TcpStream, bus: ServerBus, telemetry: &Telemetry) {
             client_id = id;
             departed = false;
         }
-        if send_reply(&mut writer, &reply).is_err() {
+        if send_reply(&mut writer, &mut frame, &reply).is_err() {
             break;
         }
     }
@@ -383,10 +388,17 @@ fn serve_connection(stream: TcpStream, bus: ServerBus, telemetry: &Telemetry) {
     }
 }
 
-fn send_reply(writer: &mut BufWriter<TcpStream>, reply: &Reply) -> std::io::Result<()> {
-    let mut blob = serde_json::to_string(reply).expect("replies serialize");
-    blob.push('\n');
-    writer.write_all(blob.as_bytes())?;
+/// Write one reply frame, encoded into the connection's reused `frame`
+/// buffer.
+fn send_reply(
+    writer: &mut BufWriter<TcpStream>,
+    frame: &mut Vec<u8>,
+    reply: &Reply,
+) -> std::io::Result<()> {
+    frame.clear();
+    encode_reply(reply, frame);
+    frame.push(b'\n');
+    writer.write_all(frame)?;
     writer.flush()
 }
 
@@ -420,7 +432,14 @@ fn io_error(e: std::io::Error, what: &str) -> HarmonyError {
 /// One live socket to the server.
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// The request frame being sent, reused across calls.
+    request: Vec<u8>,
+    /// The reply line being read, reused across calls.
+    reply: Vec<u8>,
+    /// A reply overran [`MAX_FRAME_LEN`]: the stream has lost its framing,
+    /// so the connection must not carry another call.
+    broken: bool,
 }
 
 impl Conn {
@@ -435,26 +454,48 @@ impl Conn {
         let writer = stream.try_clone().map_err(|_| HarmonyError::Disconnected)?;
         Ok(Conn {
             reader: BufReader::new(stream),
-            writer: BufWriter::new(writer),
+            writer,
+            request: Vec::new(),
+            reply: Vec::new(),
+            broken: false,
         })
     }
 
     fn call(&mut self, req: &Request) -> Result<Reply> {
-        let mut blob = serde_json::to_string(req).expect("requests serialize");
-        blob.push('\n');
+        self.request.clear();
+        encode_request(req, &mut self.request);
+        self.request.push(b'\n');
         self.writer
-            .write_all(blob.as_bytes())
-            .and_then(|()| self.writer.flush())
+            .write_all(&self.request)
             .map_err(|e| io_error(e, "request write"))?;
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
+        self.read_reply()
+    }
+
+    /// Read and decode one reply line of at most [`MAX_FRAME_LEN`] bytes.
+    fn read_reply(&mut self) -> Result<Reply> {
+        self.reply.clear();
+        // The frame plus its `\r\n` terminator.
+        let limit = MAX_FRAME_LEN + 2;
+        let n = (&mut self.reader)
+            .take(limit as u64)
+            .read_until(b'\n', &mut self.reply)
             .map_err(|e| io_error(e, "reply read"))?;
         if n == 0 {
             return Err(HarmonyError::Disconnected);
         }
-        serde_json::from_str(&line).map_err(|e| HarmonyError::Protocol(format!("bad reply: {e}")))
+        let mut line = &self.reply[..];
+        if let Some(framed) = line.strip_suffix(b"\n") {
+            line = framed.strip_suffix(b"\r").unwrap_or(framed);
+        }
+        if line.len() > MAX_FRAME_LEN {
+            self.broken = true;
+            return Err(HarmonyError::Protocol(format!(
+                "reply frame exceeds {MAX_FRAME_LEN} bytes"
+            )));
+        }
+        let text = std::str::from_utf8(line)
+            .map_err(|_| HarmonyError::Protocol("bad reply: invalid UTF-8".into()))?;
+        decode_reply(text).map_err(|e| HarmonyError::Protocol(format!("bad reply: {e}")))
     }
 }
 
@@ -599,7 +640,8 @@ impl TcpHarmonyClient {
 
     /// One attempt: (re)open the connection if needed, send, read. A
     /// transport failure poisons the connection so the next attempt
-    /// reconnects; a protocol-level error leaves it open.
+    /// reconnects; a protocol-level error leaves it open, unless the reply
+    /// overran the frame cap and took the framing with it.
     fn try_call(&mut self, req: &Request) -> Result<Reply> {
         if self.conn.is_none() {
             self.reconnect_once()?;
@@ -610,7 +652,7 @@ impl TcpHarmonyClient {
             Ok(Reply::Error { message, retryable }) => Err(reply_error(message, retryable)),
             Ok(reply) => Ok(reply),
             Err(e) => {
-                if e.is_retryable() {
+                if e.is_retryable() || conn.broken {
                     self.conn = None;
                 }
                 Err(e)
@@ -1217,5 +1259,73 @@ mod tests {
         assert!(cost <= 25.0, "best {best} cost {cost}");
         client.close();
         server.shutdown();
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
+        // Regression: the JSON parser recursed once per `[` with no limit,
+        // so this 100 KB frame (well under the frame cap) overflowed the
+        // loop thread's stack and aborted the whole server.
+        let server = TcpHarmonyServer::bind("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut frame = "[".repeat(100_000);
+        frame.push('\n');
+        stream.write_all(frame.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        match decode_reply(line.trim_end()).unwrap() {
+            Reply::Error { message, .. } => {
+                assert!(message.starts_with("malformed request"), "{message}");
+                assert!(message.contains("recursion limit"), "{message}");
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        // A second client is served as usual.
+        let mut client = TcpHarmonyClient::connect(addr, "after").unwrap();
+        client.add_param(Param::int("x", 0, 4, 1)).unwrap();
+        client
+            .seal(SessionOptions::default(), StrategyKind::Random)
+            .unwrap();
+        let (trials, _) = client.fetch_batch(2).unwrap();
+        assert_eq!(trials.len(), 2);
+        client.close();
+        server.shutdown();
+    }
+
+    #[test]
+    fn endless_reply_frame_is_a_protocol_error_not_unbounded_memory() {
+        // A faulty or hostile peer answers with bytes and never a newline:
+        // the client stops reading at the frame cap.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut request)
+                .unwrap();
+            let mut writer = stream;
+            let chunk = vec![b'x'; 64 << 10];
+            let mut sent = 0;
+            // Stop once the client hangs up (or, if it never does, at 16x
+            // the cap so a regression fails instead of hanging).
+            while sent < 16 * MAX_FRAME_LEN && writer.write_all(&chunk).is_ok() {
+                sent += chunk.len();
+            }
+            (request, sent)
+        });
+        let err = TcpHarmonyClient::connect(addr, "victim").unwrap_err();
+        assert!(
+            matches!(&err, HarmonyError::Protocol(m) if m.contains("exceeds")),
+            "{err:?}"
+        );
+        let (request, sent) = peer.join().unwrap();
+        assert!(request.contains("Register"), "{request}");
+        assert!(
+            sent < 16 * MAX_FRAME_LEN,
+            "client kept reading past the cap"
+        );
     }
 }

@@ -54,10 +54,10 @@
 //! [`TuningSession::report_stored`](crate::session::TuningSession::report_stored)).
 
 use crate::error::{HarmonyError, Result};
+use crate::json;
 use crate::priors::PriorRunDb;
 use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
-use crate::value::ParamValue;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -293,80 +293,23 @@ fn encode_line<T: Serialize>(value: &T) -> Result<String> {
     Ok(line)
 }
 
-fn push_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_json_f64(f: f64, out: &mut String) {
-    if f.is_finite() {
-        let before = out.len();
-        let _ = write!(out, "{f}");
-        if !out[before..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Encode one [`StoreRecord`] straight into `out`, byte-identical to
 /// `encode_line(&record)`. The generic path builds a full `Value` tree
 /// (one boxed node and one key `String` per field) before writing; at one
 /// insert per report this was the single largest term of the store's
-/// per-evaluation cost, so the hot path formats directly instead.
+/// per-evaluation cost, so the hot path formats directly instead, with the
+/// [`json`] writer the wire codec also uses.
 /// `encode_matches_the_generic_serializer` pins the two encodings to each
 /// other.
 fn push_record_line(rec: &StoreRecord, out: &mut String) {
     out.push_str("{\"app\":");
-    push_json_str(&rec.app, out);
+    json::push_str(out, &rec.app);
     let _ = write!(out, ",\"fingerprint\":{}", rec.fingerprint);
-    out.push_str(",\"config\":{\"names\":[");
-    for (i, name) in rec.config.names().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(name, out);
-    }
-    out.push_str("],\"values\":[");
-    for (i, value) in rec.config.values().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match value {
-            ParamValue::Int(x) => {
-                let _ = write!(out, "{{\"Int\":{x}}}");
-            }
-            ParamValue::Real(x) => {
-                out.push_str("{\"Real\":");
-                push_json_f64(*x, out);
-                out.push('}');
-            }
-            ParamValue::Enum { index, label } => {
-                let _ = write!(out, "{{\"Enum\":{{\"index\":{index},\"label\":");
-                push_json_str(label, out);
-                out.push_str("}}");
-            }
-        }
-    }
+    out.push_str(",\"config\":");
+    json::push_config(out, &rec.config);
     let _ = write!(
         out,
-        "]}},\"cost_bits\":{},\"wall_bits\":{},\"session\":{},\"iteration\":{},\"requeued\":{},\"replayed\":{}}}",
+        ",\"cost_bits\":{},\"wall_bits\":{},\"session\":{},\"iteration\":{},\"requeued\":{},\"replayed\":{}}}",
         rec.cost_bits, rec.wall_bits, rec.session, rec.iteration, rec.requeued, rec.replayed
     );
     out.push('\n');
@@ -1156,6 +1099,7 @@ impl SharedStore {
 mod tests {
     use super::*;
     use crate::strategy::StartPoint;
+    use crate::value::ParamValue;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ah-store-tests-{}", std::process::id()));

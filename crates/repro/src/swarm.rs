@@ -19,7 +19,8 @@
 use ah_core::param::Param;
 use ah_core::server::poll::{poll_fd, Interest, PollFd, PollPoller, ReadinessPoller};
 use ah_core::server::protocol::{
-    FrameDecoder, Reply, Request, StrategyKind, TrialReport, MAX_FRAME_LEN,
+    decode_reply, encode_request, FrameDecoder, Reply, Request, StrategyKind, TrialReport,
+    MAX_FRAME_LEN,
 };
 use ah_core::session::SessionOptions;
 use ah_core::space::Configuration;
@@ -54,8 +55,7 @@ struct SwarmConn<S: SwarmScript> {
 
 impl<S: SwarmScript> SwarmConn<S> {
     fn queue(&mut self, req: &Request) {
-        let blob = serde_json::to_string(req).expect("requests serialize");
-        self.out.extend_from_slice(blob.as_bytes());
+        encode_request(req, &mut self.out);
         self.out.push(b'\n');
     }
 
@@ -84,8 +84,7 @@ impl<S: SwarmScript> SwarmConn<S> {
                 Ok(n) => {
                     self.decoder.extend(&buf[..n]);
                     while let Some(frame) = self.decoder.next_frame().expect("swarm reply frame") {
-                        let reply: Reply =
-                            serde_json::from_str(&frame).expect("swarm reply parses");
+                        let reply = decode_reply(&frame).expect("swarm reply parses");
                         match self.script.next(reply) {
                             Some(req) => self.queue(&req),
                             None => {
