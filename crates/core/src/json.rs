@@ -13,6 +13,7 @@
 use crate::space::Configuration;
 use crate::value::ParamValue;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A buffer the direct writer appends to: the store builds `String` lines,
 /// the wire codec fills byte buffers bound for a socket.
@@ -156,7 +157,7 @@ pub(crate) fn push_config<W: JsonOut>(out: &mut W, config: &Configuration) {
             }
             ParamValue::Enum { index, label } => {
                 out.put("{\"Enum\":{\"index\":");
-                push_u64(out, *index as u64);
+                push_u64(out, u64::from(*index));
                 out.put(",\"label\":");
                 push_str(out, label);
                 out.put("}}");
@@ -268,6 +269,11 @@ impl<'a> JsonCursor<'a> {
         usize::try_from(self.integer()?).ok()
     }
 
+    /// A `u32`.
+    pub(crate) fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.integer()?).ok()
+    }
+
     /// An `i64`.
     pub(crate) fn i64(&mut self) -> Option<i64> {
         i64::try_from(self.integer()?).ok()
@@ -319,9 +325,9 @@ impl<'a> JsonCursor<'a> {
             } else if c.eat("{\"Real\":") {
                 ParamValue::Real(c.f64()?)
             } else if c.eat("{\"Enum\":{\"index\":") {
-                let index = c.usize()?;
+                let index = c.u32()?;
                 c.lit(",\"label\":")?;
-                let label = c.str()?.to_string();
+                let label = Arc::new(c.str()?.to_string());
                 c.lit("}")?;
                 ParamValue::Enum { index, label }
             } else {

@@ -6,6 +6,7 @@
 use crate::error::{HarmonyError, Result};
 use crate::value::ParamValue;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A tunable parameter declaration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,6 +110,9 @@ impl Param {
                 if choices.is_empty() {
                     return invalid("enum needs at least one choice");
                 }
+                if u32::try_from(choices.len() - 1).is_err() {
+                    return invalid("enum choice indices must fit in 32 bits");
+                }
                 Ok(())
             }
         }
@@ -163,8 +167,8 @@ impl Param {
             Param::Enum { choices, .. } => {
                 let idx = coord.round().clamp(0.0, (choices.len() - 1) as f64) as usize;
                 ParamValue::Enum {
-                    index: idx,
-                    label: choices[idx].clone(),
+                    index: idx as u32,
+                    label: Arc::new(choices[idx].clone()),
                 }
             }
         }
@@ -194,7 +198,7 @@ impl Param {
                 }
             }
             (Param::Enum { choices, .. }, ParamValue::Enum { index, .. }) => {
-                if *index >= choices.len() {
+                if *index as usize >= choices.len() {
                     Err(mismatch(format!("enum index < {}", choices.len())))
                 } else {
                     Ok(*index as f64)
@@ -224,8 +228,8 @@ impl Param {
                 .iter()
                 .position(|c| c == s)
                 .map(|index| ParamValue::Enum {
-                    index,
-                    label: s.to_string(),
+                    index: index as u32,
+                    label: Arc::new(s.to_string()),
                 })
                 .ok_or_else(|| mismatch(format!("one of {choices:?}"))),
         }

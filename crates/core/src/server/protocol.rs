@@ -802,6 +802,15 @@ mod tests {
         }
     }
 
+    fn sample_u32(g: &mut Gen) -> u32 {
+        match g.below(4) {
+            0 => 0,
+            1 => u32::MAX,
+            2 => g.next_u64() as u32,
+            _ => g.below(100) as u32,
+        }
+    }
+
     fn sample_i64(g: &mut Gen) -> i64 {
         match g.below(4) {
             0 => i64::MIN,
@@ -819,8 +828,8 @@ mod tests {
                 0 => ParamValue::Int(sample_i64(g)),
                 1 => ParamValue::Real(sample_f64(g)),
                 _ => ParamValue::Enum {
-                    index: sample_usize(g),
-                    label: sample_text(g),
+                    index: sample_u32(g),
+                    label: sample_text(g).into(),
                 },
             })
             .collect();
@@ -1038,6 +1047,24 @@ mod tests {
                 "{{\"Config\":{{\"config\":{{\"names\":[\"a\"],\"values\":[{{\"Int\":{number}}}]}},\"iteration\":1,\"finished\":false}}}}"
             ))
             .unwrap();
+        }
+    }
+
+    #[test]
+    fn enum_index_beyond_u32_is_rejected_as_serde_rejects_it() {
+        let frame = |index: &str| {
+            format!(
+                "{{\"Config\":{{\"config\":{{\"names\":[\"a\"],\"values\":[{{\"Enum\":{{\"index\":{index},\"label\":\"x\"}}}}]}},\"iteration\":1,\"finished\":false}}}}"
+            )
+        };
+        let max = u32::MAX.to_string();
+        assert!(direct_reply(&frame(&max)).is_some());
+        assert!(decode_reply(&frame(&max)).is_ok());
+        for index in ["4294967296", "18446744073709551615", "18446744073709551616"] {
+            let frame = frame(index);
+            assert!(direct_reply(&frame).is_none(), "{index}");
+            assert!(decode_reply(&frame).is_err(), "{index}");
+            reply_decodes_agree(&frame).unwrap();
         }
     }
 

@@ -16,15 +16,23 @@ use std::fmt;
 use std::sync::Arc;
 
 /// One valid point of a [`SearchSpace`]: a named, typed value per parameter.
+///
+/// The names are shared: every configuration a space builds points at the
+/// space's one list, so a history row costs its values only.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Configuration {
-    names: Vec<String>,
+    names: Arc<[String]>,
     values: Vec<ParamValue>,
 }
 
 impl Configuration {
     /// Build a configuration from parallel name/value vectors.
     pub fn new(names: Vec<String>, values: Vec<ParamValue>) -> Self {
+        Self::with_names(names.into(), values)
+    }
+
+    /// Build a configuration over a shared name list.
+    pub(crate) fn with_names(names: Arc<[String]>, values: Vec<ParamValue>) -> Self {
         debug_assert_eq!(names.len(), values.len());
         Configuration { names, values }
     }
@@ -117,6 +125,8 @@ impl fmt::Display for Configuration {
 #[derive(Clone)]
 pub struct SearchSpace {
     params: Vec<Param>,
+    /// The parameter names, shared by every configuration of the space.
+    names: Arc<[String]>,
     constraints: Vec<Arc<dyn Constraint>>,
 }
 
@@ -159,6 +169,12 @@ impl SearchSpace {
         &self.constraints
     }
 
+    /// The parameter names in declaration order, as configurations of this
+    /// space share them.
+    pub(crate) fn shared_names(&self) -> &Arc<[String]> {
+        &self.names
+    }
+
     /// Index of a parameter by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.params.iter().position(|p| p.name() == name)
@@ -197,10 +213,7 @@ impl SearchSpace {
             .zip(repaired.iter())
             .map(|(p, &c)| p.project(c))
             .collect();
-        Configuration {
-            names: self.params.iter().map(|p| p.name().to_string()).collect(),
-            values,
-        }
+        Configuration::with_names(self.names.clone(), values)
     }
 
     /// Apply every constraint's repair step to a continuous point, in order.
@@ -279,10 +292,7 @@ impl SearchSpace {
         for (p, v) in self.params.iter().zip(values.iter()) {
             p.embed(v)?; // type/domain check
         }
-        Ok(Configuration {
-            names: self.params.iter().map(|p| p.name().to_string()).collect(),
-            values,
-        })
+        Ok(Configuration::with_names(self.names.clone(), values))
     }
 
     /// Build a configuration from `(name, string)` pairs, e.g. parsed from a
@@ -373,6 +383,7 @@ impl SearchSpaceBuilder {
             }
         }
         let space = SearchSpace {
+            names: self.params.iter().map(|p| p.name().to_string()).collect(),
             params: self.params,
             constraints: self.constraints,
         };

@@ -45,6 +45,7 @@ use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, Telemetry};
 use crate::value::ParamValue;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How a dimension's lattice index maps to its embedded value.
@@ -669,12 +670,6 @@ impl CompiledSpace {
     /// The configuration at a lattice point.
     pub fn configuration(&self, indices: &[u64]) -> Configuration {
         debug_assert_eq!(indices.len(), self.dims.len());
-        let names = self
-            .space
-            .params()
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect();
         let values = self
             .dims
             .iter()
@@ -682,7 +677,7 @@ impl CompiledSpace {
             .zip(indices)
             .map(|((dim, param), &i)| lattice_value(dim, i, param))
             .collect();
-        Configuration::new(names, values)
+        Configuration::with_names(self.space.shared_names().clone(), values)
     }
 
     /// Nearest feasible lattice point to `coords` by squared distance in
@@ -903,8 +898,8 @@ fn lattice_value(dim: &CompiledDim, idx: u64, param: &Param) -> ParamValue {
     match (dim.kind, param) {
         (DimKind::Int { min, step }, _) => ParamValue::Int(min + idx as i64 * step),
         (DimKind::Enum, Param::Enum { choices, .. }) => ParamValue::Enum {
-            index: idx as usize,
-            label: choices[idx as usize].clone(),
+            index: idx as u32,
+            label: Arc::new(choices[idx as usize].clone()),
         },
         (DimKind::Enum, _) => unreachable!("enum dim compiled from enum param"),
     }
@@ -982,8 +977,8 @@ mod tests {
                 .map(|(p, &i)| match p {
                     Param::Int { min, step, .. } => ParamValue::Int(min + i as i64 * step),
                     Param::Enum { choices, .. } => ParamValue::Enum {
-                        index: i as usize,
-                        label: choices[i as usize].clone(),
+                        index: i as u32,
+                        label: choices[i as usize].clone().into(),
                     },
                     Param::Real { .. } => unreachable!(),
                 })

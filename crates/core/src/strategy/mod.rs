@@ -34,6 +34,7 @@ pub use random::RandomSearch;
 pub use surrogate::{Surrogate, SurrogateOptions};
 
 use crate::space::SearchSpace;
+use crate::space_compile::FeasibleCount;
 use crate::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use serde::Serialize;
@@ -197,7 +198,18 @@ pub trait SearchStrategy: Send {
 /// constraint, the compiled space supplies the *nearest feasible* lattice
 /// point (compiled lazily, once, on first need).
 pub(crate) struct FeasibleSnapper {
-    compiled: Option<crate::space_compile::CompiledSpace>,
+    state: SnapState,
+}
+
+/// What an infeasible candidate falls back to.
+enum SnapState {
+    /// No infeasible candidate seen yet since the last reset.
+    Uncompiled,
+    /// Nearest-feasible search over the compiled space.
+    Compiled(Box<crate::space_compile::CompiledSpace>),
+    /// Plain repair: the space did not compile, or it has more than
+    /// [`SNAP_SCAN_CAP`] valid points, or none.
+    Repair,
 }
 
 /// Valid points scanned per nearest-feasible lookup (ample for the
@@ -207,12 +219,15 @@ const SNAP_SCAN_CAP: u64 = 65_536;
 
 impl FeasibleSnapper {
     pub(crate) fn new() -> Self {
-        FeasibleSnapper { compiled: None }
+        FeasibleSnapper {
+            state: SnapState::Uncompiled,
+        }
     }
 
-    /// Reset the cached compiled space (call from `init`).
+    /// Forget the compiled space and any fallback verdict (call from
+    /// `init`).
     pub(crate) fn reset(&mut self) {
-        self.compiled = None;
+        self.state = SnapState::Uncompiled;
     }
 
     /// Snap `p` to a feasible lattice point (see type docs).
@@ -234,18 +249,33 @@ impl FeasibleSnapper {
                 }
             }
         }
-        if self.compiled.is_none() {
-            self.compiled = crate::space_compile::CompiledSpace::compile(space).ok();
+        if let SnapState::Uncompiled = self.state {
+            self.state = Self::fallback(space);
         }
-        if let Some(snapped) = self
-            .compiled
-            .as_ref()
-            .and_then(|cs| cs.snap_feasible(&p, SNAP_SCAN_CAP))
-        {
-            return snapped;
+        if let SnapState::Compiled(cs) = &self.state {
+            if let Some(snapped) = cs.snap_feasible(&p, SNAP_SCAN_CAP) {
+                return snapped;
+            }
         }
         space.repair(&mut p);
         p
+    }
+
+    /// Decide, once per space, what infeasible candidates fall back to.
+    /// The nearest-feasible scan answers "no" whenever the space has more
+    /// than [`SNAP_SCAN_CAP`] valid points or none, whatever the
+    /// candidate; counting them (without building coordinates) settles
+    /// that before any scan.
+    fn fallback(space: &SearchSpace) -> SnapState {
+        let Ok(cs) = crate::space_compile::CompiledSpace::compile(space) else {
+            return SnapState::Repair;
+        };
+        match cs.count_valid_bounded(SNAP_SCAN_CAP, u64::MAX) {
+            FeasibleCount::Exact(n) if (1..=SNAP_SCAN_CAP).contains(&n) => {
+                SnapState::Compiled(Box::new(cs))
+            }
+            _ => SnapState::Repair,
+        }
     }
 }
 
@@ -292,5 +322,122 @@ pub(crate) mod test_util {
             strategy.feedback(&coords, cost, space, &mut rng);
         }
         best
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::constraint::MonotoneChain;
+    use rand::SeedableRng;
+
+    /// Four chained boundaries on 0..=60: C(64, 4) = 635,376 valid
+    /// points, ten times the nearest-feasible scan cap.
+    fn large_chain_space() -> SearchSpace {
+        let names = ["b1", "b2", "b3", "b4"];
+        let mut b = SearchSpace::builder();
+        for n in names {
+            b = b.int(n, 0, 60, 1);
+        }
+        b.constraint(MonotoneChain::new(names)).build().unwrap()
+    }
+
+    #[test]
+    fn over_the_cap_snaps_fall_back_to_repair_without_rescanning() {
+        let space = large_chain_space();
+        let mut snapper = FeasibleSnapper::new();
+        // A feasible candidate needs no compiled space.
+        assert_eq!(
+            snapper.snap(&space, vec![1.0, 2.0, 3.0, 4.0]),
+            [1.0, 2.0, 3.0, 4.0]
+        );
+        assert!(matches!(snapper.state, SnapState::Uncompiled));
+        let infeasible = [
+            vec![50.0, 10.0, 40.0, 20.0],
+            vec![60.0, 0.0, 30.2, 29.7],
+            vec![3.4, 3.3, 0.0, 59.9],
+            vec![-5.0, 70.0, 12.5, 12.4],
+        ];
+        for (i, p) in infeasible.into_iter().enumerate() {
+            let mut repaired = p.clone();
+            space.repair(&mut repaired);
+            assert_eq!(snapper.snap(&space, p), repaired, "candidate {i}");
+            // The over-the-cap verdict holds no compiled space.
+            assert!(matches!(snapper.state, SnapState::Repair), "candidate {i}");
+        }
+        snapper.reset();
+        assert!(matches!(snapper.state, SnapState::Uncompiled));
+    }
+
+    #[test]
+    fn small_chain_space_keeps_the_nearest_feasible_snap() {
+        let space = SearchSpace::builder()
+            .int("b1", 0, 10, 1)
+            .int("b2", 0, 10, 1)
+            .constraint(MonotoneChain::new(["b1", "b2"]))
+            .build()
+            .unwrap();
+        let mut snapper = FeasibleSnapper::new();
+        let snapped = snapper.snap(&space, vec![7.0, 3.0]);
+        assert!(snapped[0] <= snapped[1], "{snapped:?}");
+        assert!(matches!(snapper.state, SnapState::Compiled(_)));
+    }
+
+    #[test]
+    fn a_chain_with_no_valid_point_falls_back_to_repair() {
+        let space = SearchSpace::builder()
+            .int("b1", 50, 60, 1)
+            .int("b2", 0, 10, 1)
+            .constraint(MonotoneChain::new(["b1", "b2"]))
+            .build()
+            .unwrap();
+        let mut snapper = FeasibleSnapper::new();
+        let p = vec![55.0, 5.0];
+        let mut repaired = p.clone();
+        space.repair(&mut repaired);
+        assert_eq!(snapper.snap(&space, p), repaired);
+        assert!(matches!(snapper.state, SnapState::Repair));
+    }
+
+    /// FNV-1a over the bit patterns of every proposed coordinate.
+    fn digest(points: &[Vec<f64>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in points.iter().flatten() {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn nelder_mead_stream_on_an_over_the_cap_chain_is_unchanged() {
+        // The optimum violates the chain, so many simplex moves land
+        // infeasible and go through the snapper's fallback.
+        let space = large_chain_space();
+        let target = [50.0, 10.0, 40.0, 20.0];
+        let mut nm = NelderMead::default();
+        let mut rng = StdRng::seed_from_u64(2006);
+        nm.init(&space, &mut rng);
+        let mut proposed = Vec::new();
+        for _ in 0..150 {
+            let Some(coords) = nm.propose(&space, &mut rng) else {
+                break;
+            };
+            let cfg = space.project(&coords);
+            let cost: f64 = space
+                .embed(&cfg)
+                .unwrap()
+                .iter()
+                .zip(target)
+                .map(|(x, t)| (x - t) * (x - t))
+                .sum();
+            nm.feedback(&coords, cost, &space, &mut rng);
+            proposed.push(coords);
+        }
+        assert_eq!(proposed.len(), 150);
+        // Taken from the implementation that rescanned on every
+        // infeasible candidate.
+        assert_eq!(digest(&proposed), 5_667_192_826_418_290_361);
     }
 }

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The value of one tunable parameter inside a
 /// [`Configuration`](crate::space::Configuration).
@@ -9,6 +10,9 @@ use std::fmt;
 /// The Harmony search algorithm treats every parameter as one dimension of a
 /// continuous space; `ParamValue` is the *projected*, valid lattice value the
 /// application actually receives.
+///
+/// A value is 16 bytes: a history holds one per parameter per evaluation,
+/// so the enum payload is a `u32` index and a shared label.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ParamValue {
     /// An integer-valued parameter (e.g. a block size or node count).
@@ -19,9 +23,9 @@ pub enum ParamValue {
     /// list together with the choice label for readability.
     Enum {
         /// Index into the parameter's choice list.
-        index: usize,
+        index: u32,
         /// The label of the selected choice.
-        label: String,
+        label: Arc<String>,
     },
 }
 
@@ -53,7 +57,7 @@ impl ParamValue {
     /// The selected categorical index, if this is an [`ParamValue::Enum`].
     pub fn as_enum_index(&self) -> Option<usize> {
         match self {
-            ParamValue::Enum { index, .. } => Some(*index),
+            ParamValue::Enum { index, .. } => Some(*index as usize),
             _ => None,
         }
     }
@@ -63,7 +67,7 @@ impl ParamValue {
     pub fn cache_key(&self) -> i64 {
         match self {
             ParamValue::Int(v) => *v,
-            ParamValue::Enum { index, .. } => *index as i64,
+            ParamValue::Enum { index, .. } => i64::from(*index),
             ParamValue::Real(v) => v.to_bits() as i64,
         }
     }
@@ -90,11 +94,16 @@ mod tests {
         assert_eq!(ParamValue::Real(1.5).as_real(), Some(1.5));
         let e = ParamValue::Enum {
             index: 2,
-            label: "del2".into(),
+            label: Arc::new("del2".into()),
         };
         assert_eq!(e.as_enum(), Some("del2"));
         assert_eq!(e.as_enum_index(), Some(2));
         assert_eq!(e.as_int(), None);
+    }
+
+    #[test]
+    fn a_value_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<ParamValue>(), 16);
     }
 
     #[test]
@@ -115,7 +124,7 @@ mod tests {
         assert_eq!(
             ParamValue::Enum {
                 index: 0,
-                label: "anis".into()
+                label: Arc::new("anis".into())
             }
             .to_string(),
             "anis"
@@ -126,7 +135,7 @@ mod tests {
     fn serde_roundtrip() {
         let v = ParamValue::Enum {
             index: 1,
-            label: "grid".into(),
+            label: Arc::new("grid".into()),
         };
         let s = serde_json::to_string(&v).unwrap();
         let back: ParamValue = serde_json::from_str(&s).unwrap();

@@ -112,8 +112,8 @@ fn naive_filter(space: &SearchSpace) -> Vec<Configuration> {
             .map(|(p, &i)| match p {
                 Param::Int { min, step, .. } => ParamValue::Int(min + i as i64 * step),
                 Param::Enum { choices, .. } => ParamValue::Enum {
-                    index: i as usize,
-                    label: choices[i as usize].clone(),
+                    index: i as u32,
+                    label: choices[i as usize].clone().into(),
                 },
                 Param::Real { .. } => unreachable!(),
             })

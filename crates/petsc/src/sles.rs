@@ -10,6 +10,7 @@
 //! Figure 2 illustrates.
 
 use ah_clustersim::{execute, Collective, Machine, Message, Superstep};
+use ah_sparse::partition::imbalance;
 use ah_sparse::{cg_solve, CsrMatrix, RowPartition};
 use std::collections::HashMap;
 
@@ -107,19 +108,43 @@ impl SlesProblem {
     /// part `j` must send `x[c]` to part `i` each iteration. Distinct
     /// columns are counted once (vector entries are gathered, not nonzeros).
     pub fn halo_volumes(&self, part: &RowPartition) -> HashMap<(usize, usize), usize> {
-        let mut seen: HashMap<(usize, usize), std::collections::HashSet<usize>> = HashMap::new();
-        for i in 0..part.parts() {
-            for r in part.range(i) {
-                let (cols, _) = self.matrix.row(r);
-                for &c in cols {
-                    let j = part.owner(c);
-                    if j != i {
-                        seen.entry((j, i)).or_default().insert(c);
+        let p = part.parts();
+        let counts = self.halo_counts(part);
+        (0..p * p)
+            .filter(|&k| counts[k] > 0)
+            .map(|k| ((k / p, k % p), counts[k]))
+            .collect()
+    }
+
+    /// The halo volumes as a dense `p×p` array: entry `src * p + dst` is
+    /// the number of distinct columns part `src` sends to part `dst`.
+    ///
+    /// One pass over the nonzeros: `owner[c]` is filled from the part
+    /// ranges (so an empty part owns nothing, as in
+    /// [`RowPartition::owner`]), and `stamp[c]` remembers the last
+    /// destination part that counted column `c`. Parts' rows are visited in
+    /// order, so a column is counted once per destination.
+    fn halo_counts(&self, part: &RowPartition) -> Vec<usize> {
+        let p = part.parts();
+        let mut owner = vec![0u32; part.rows()];
+        for i in 0..p {
+            owner[part.range(i)].fill(i as u32);
+        }
+        let mut stamp = vec![u32::MAX; part.rows()];
+        let mut counts = vec![0usize; p * p];
+        for dst in 0..p {
+            let tag = dst as u32;
+            for r in part.range(dst) {
+                for &c in self.matrix.row(r).0 {
+                    let src = owner[c];
+                    if src != tag && stamp[c] != tag {
+                        stamp[c] = tag;
+                        counts[src as usize * p + dst] += 1;
                     }
                 }
             }
         }
-        seen.into_iter().map(|(k, v)| (k, v.len())).collect()
+        counts
     }
 
     /// Simulate a distributed CG solve under the given decomposition.
@@ -140,16 +165,17 @@ impl SlesProblem {
         for (i, (&nnz, &nrows)) in loads.iter().zip(&rows).enumerate() {
             compute[i] = nnz as f64 * GFLOP_PER_NNZ + nrows as f64 * GFLOP_PER_ROW;
         }
-        // Hash order is per-process-random; fix (src, dst) order so the
-        // simulated time is bit-identical run to run (float sums are
-        // order-sensitive at the ulp).
-        let mut halos: Vec<((usize, usize), usize)> = self.halo_volumes(part).into_iter().collect();
-        halos.sort_unstable_by_key(|&(k, _)| k);
-        let messages: Vec<Message> = halos
+        // Messages in (src, dst) order: float sums are order-sensitive at
+        // the ulp, so a fixed order keeps the simulated time bit-identical.
+        let p = part.parts();
+        let messages: Vec<Message> = self
+            .halo_counts(part)
             .into_iter()
-            .map(|((src, dst), vals)| Message {
-                src,
-                dst,
+            .enumerate()
+            .filter(|&(_, vals)| vals > 0)
+            .map(|(k, vals)| Message {
+                src: k / p,
+                dst: k % p,
                 bytes: vals as f64 * BYTES_PER_VALUE,
             })
             .collect();
@@ -167,7 +193,7 @@ impl SlesProblem {
             iterations,
             compute_time: one.compute_time * iterations as f64,
             comm_time: one.comm_time * iterations as f64,
-            imbalance: part.load_imbalance(&self.matrix),
+            imbalance: imbalance(&loads),
         }
     }
 }
@@ -177,6 +203,8 @@ mod tests {
     use super::*;
     use ah_clustersim::NetworkModel;
     use ah_sparse::gen::{clustered_blocks, laplacian_2d, ones};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn machine(procs: usize) -> Machine {
         Machine::uniform("test", procs, 1, 1.0, NetworkModel::default())
@@ -238,6 +266,126 @@ mod tests {
         let vols = p.halo_volumes(&part);
         assert_eq!(vols.get(&(0, 1)), Some(&1));
         assert_eq!(vols.get(&(1, 0)), Some(&1));
+    }
+
+    /// The straightforward halo count: a binary-search `owner()` and a
+    /// hash set of columns per part pair. The flat kernel must agree with
+    /// it exactly.
+    fn oracle_halo_volumes(a: &CsrMatrix, part: &RowPartition) -> HashMap<(usize, usize), usize> {
+        let mut seen: HashMap<(usize, usize), HashSet<usize>> = HashMap::new();
+        for i in 0..part.parts() {
+            for r in part.range(i) {
+                for &c in a.row(r).0 {
+                    let j = part.owner(c);
+                    if j != i {
+                        seen.entry((j, i)).or_default().insert(c);
+                    }
+                }
+            }
+        }
+        seen.into_iter().map(|(k, v)| (k, v.len())).collect()
+    }
+
+    /// `solve` built from the oracle: messages sorted out of the hash
+    /// map, loads summed row by row, imbalance recomputed.
+    fn oracle_solve(p: &mut SlesProblem, part: &RowPartition) -> SlesRun {
+        let iterations = p.iterations();
+        let a = p.matrix();
+        let loads: Vec<usize> = (0..part.parts())
+            .map(|i| part.range(i).map(|r| a.row_nnz(r)).sum())
+            .collect();
+        let mut compute = vec![0.0f64; p.machine().total_procs()];
+        for (i, (&nnz, &nrows)) in loads.iter().zip(&part.row_counts()).enumerate() {
+            compute[i] = nnz as f64 * GFLOP_PER_NNZ + nrows as f64 * GFLOP_PER_ROW;
+        }
+        let mut halos: Vec<_> = oracle_halo_volumes(a, part).into_iter().collect();
+        halos.sort_unstable_by_key(|&(k, _)| k);
+        let messages = halos
+            .into_iter()
+            .map(|((src, dst), vals)| Message {
+                src,
+                dst,
+                bytes: vals as f64 * BYTES_PER_VALUE,
+            })
+            .collect();
+        let step = Superstep {
+            compute,
+            messages,
+            collective: Some(Collective::AllReduce { bytes: 16.0 }),
+        };
+        let one = execute(p.machine(), &[step]);
+        let max = loads.iter().copied().max().unwrap_or(0) as f64;
+        let mean = loads.iter().sum::<usize>() as f64 / loads.len() as f64;
+        SlesRun {
+            time: one.total_time * iterations as f64,
+            iterations,
+            compute_time: one.compute_time * iterations as f64,
+            comm_time: one.comm_time * iterations as f64,
+            imbalance: if mean <= 0.0 { 1.0 } else { max / mean },
+        }
+    }
+
+    /// A small matrix of one of the generators the experiments use.
+    fn sample_matrix(shape: u8, dims: &[usize]) -> CsrMatrix {
+        match shape {
+            0 => laplacian_2d(dims[0] + 1, dims[1] + 1),
+            1 => laplacian_2d(dims[0] + 2, 1),
+            _ => clustered_blocks(
+                &[dims[0] + 1, dims[1] + 1, dims[2] + 1],
+                0.6,
+                dims[3] as u64,
+            ),
+        }
+    }
+
+    /// Interior boundaries that hit the edge cases: 0 and `n` (empty end
+    /// parts), 1 and `n − 1`, repeats (empty inner parts) and arbitrary
+    /// rows.
+    fn sample_boundaries(n: usize, kinds: &[u8], raw: &[usize]) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        for (&kind, &r) in kinds.iter().zip(raw) {
+            let b = match kind {
+                0 => 1,
+                1 => n - 1,
+                2 => out.last().copied().unwrap_or(0),
+                3 => [0, n][r % 2],
+                _ => r % (n + 1),
+            };
+            out.push(b);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat kernel and `solve` agree bit for bit with the
+        /// hash-set oracle on random partitions of random matrices.
+        #[test]
+        fn flat_halo_kernel_matches_the_hash_set_oracle(
+            shape in 0u8..3,
+            dims in proptest::collection::vec(0usize..12, 4),
+            kinds in proptest::collection::vec(0u8..6, 0..8),
+            raw in proptest::collection::vec(0usize..1000, 8),
+        ) {
+            let a = sample_matrix(shape, &dims);
+            let n = a.rows();
+            let part = RowPartition::from_boundaries(n, &sample_boundaries(n, &kinds, &raw));
+            let mut p = SlesProblem::new(a, ones(n), machine(8));
+            p.set_iterations(37);
+            prop_assert_eq!(p.halo_volumes(&part), oracle_halo_volumes(p.matrix(), &part));
+            let got = p.solve(&part);
+            let want = oracle_solve(&mut p, &part);
+            prop_assert_eq!(got.iterations, want.iterations);
+            for (g, w) in [
+                (got.time, want.time),
+                (got.compute_time, want.compute_time),
+                (got.comm_time, want.comm_time),
+                (got.imbalance, want.imbalance),
+            ] {
+                prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
     }
 
     #[test]

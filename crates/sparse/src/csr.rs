@@ -79,6 +79,11 @@ impl CsrMatrix {
         self.row_ptr[r + 1] - self.row_ptr[r]
     }
 
+    /// Number of nonzeros in a contiguous range of rows.
+    pub fn nnz_in_rows(&self, rows: std::ops::Range<usize>) -> usize {
+        self.row_ptr[rows.end] - self.row_ptr[rows.start]
+    }
+
     /// `y = A·x` (serial).
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "x length mismatch");
@@ -170,6 +175,17 @@ mod tests {
         let (cols, vals) = a.row(0);
         assert_eq!(cols, &[0, 1]);
         assert_eq!(vals, &[2.0, -1.0]);
+    }
+
+    #[test]
+    fn nnz_in_rows_sums_row_counts() {
+        let a = small();
+        for start in 0..=a.rows() {
+            for end in start..=a.rows() {
+                let by_row: usize = (start..end).map(|r| a.row_nnz(r)).sum();
+                assert_eq!(a.nnz_in_rows(start..end), by_row, "{start}..{end}");
+            }
+        }
     }
 
     #[test]

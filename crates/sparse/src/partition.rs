@@ -83,11 +83,12 @@ impl RowPartition {
         &self.bounds[1..self.bounds.len() - 1]
     }
 
-    /// Nonzeros owned by each part — the per-iteration SpMV work.
+    /// Nonzeros owned by each part — the per-iteration SpMV work. O(p):
+    /// each part's count is a difference of row pointers.
     pub fn loads(&self, a: &CsrMatrix) -> Vec<usize> {
         assert_eq!(a.rows(), self.rows());
         (0..self.parts())
-            .map(|i| self.range(i).map(|r| a.row_nnz(r)).sum())
+            .map(|i| a.nnz_in_rows(self.range(i)))
             .collect()
     }
 
@@ -121,14 +122,19 @@ impl RowPartition {
 
     /// Load imbalance: `max(load)/mean(load)` (1.0 = perfect).
     pub fn load_imbalance(&self, a: &CsrMatrix) -> f64 {
-        let loads = self.loads(a);
-        let max = loads.iter().copied().max().unwrap_or(0) as f64;
-        let mean = loads.iter().sum::<usize>() as f64 / loads.len() as f64;
-        if mean <= 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
+        imbalance(&self.loads(a))
+    }
+}
+
+/// `max(load)/mean(load)` of per-part loads already in hand (1.0 =
+/// perfect, and for no work at all).
+pub fn imbalance(loads: &[usize]) -> f64 {
+    let max = loads.iter().copied().max().unwrap_or(0) as f64;
+    let mean = loads.iter().sum::<usize>() as f64 / loads.len() as f64;
+    if mean <= 0.0 {
+        1.0
+    } else {
+        max / mean
     }
 }
 
